@@ -21,8 +21,10 @@ PROBKB_THREADS=8 cargo test -q --offline --workspace
 PROBKB_OPTIMIZE=0 cargo test -q --offline --workspace
 PROBKB_OPTIMIZE=1 cargo test -q --offline --workspace
 
-# The partitioned Gibbs sampler must be invariant under its own worker
-# pool: marginals, diagnostics, and R̂ early stops are a pure function of
+# Every Gibbs run (batch expansion, blanket-scoped apply_delta resampling,
+# query-time local inference) goes through the one partitioned sampler,
+# which must be invariant under its own worker pool: marginals, chain
+# states, diagnostics, and R̂ early stops are a pure function of
 # (seed, chains) at any PROBKB_GIBBS_WORKERS setting.
 PROBKB_GIBBS_WORKERS=1 cargo test -q --offline --workspace
 PROBKB_GIBBS_WORKERS=4 cargo test -q --offline --workspace

@@ -1,8 +1,7 @@
-//! Criterion microbenchmarks for the inference stage: sequential vs
-//! chromatic vs partitioned multi-chain Gibbs sweeps over a
-//! grounding-shaped factor graph, plus a convergence-control comparison
-//! (fixed schedule vs R̂-triggered early stop) with `samples/sec/worker`
-//! throughput lines.
+//! Criterion microbenchmarks for the inference stage: Gibbs sweeps over a
+//! grounding-shaped factor graph at 1–8 workers, plus a
+//! convergence-control comparison (fixed schedule vs R̂-triggered early
+//! stop) with `samples/sec/worker` throughput lines.
 
 use probkb_support::microbench::{BenchmarkId, Criterion};
 use probkb_support::{criterion_group, criterion_main};
@@ -45,31 +44,6 @@ fn bench_samplers(c: &mut Criterion) {
     let vars = gg.graph.num_vars();
     let mut group = c.benchmark_group(format!("gibbs_{vars}_vars_20_sweeps"));
     group.sample_size(10);
-    // Benchmark a 20-sweep schedule through each sampler's `run` path so
-    // the chromatic sampler's persistent worker pool is what's measured.
-    let schedule = GibbsConfig {
-        burn_in: 0,
-        samples: 20,
-        seed: 1,
-        ..GibbsConfig::default()
-    };
-
-    group.bench_function(BenchmarkId::new("sequential", 1), |b| {
-        b.iter(|| {
-            let m = GibbsSampler::new(&gg.graph, 1).run(&schedule);
-            std::hint::black_box(m.p[0])
-        });
-    });
-
-    for threads in [2usize, 4, 8] {
-        group.bench_function(BenchmarkId::new("chromatic", threads), |b| {
-            b.iter(|| {
-                let m = ChromaticGibbs::new(&gg.graph, threads, 1).run(&schedule);
-                std::hint::black_box(m.p[0])
-            });
-        });
-    }
-
     for workers in [1usize, 2, 4, 8] {
         let config = GibbsConfig {
             burn_in: 0,

@@ -67,22 +67,7 @@ impl Factor {
     /// Like [`Factor::satisfied`] but with variable `var` overridden to
     /// `value` — read-only, for lock-free parallel samplers.
     pub fn satisfied_with(&self, assignment: &[bool], var: VarId, value: bool) -> bool {
-        self.satisfied_by(&|v| assignment[v], var, value)
-    }
-
-    /// Log value with an override (read-only).
-    pub fn log_value_with(&self, assignment: &[bool], var: VarId, value: bool) -> f64 {
-        if self.satisfied_with(assignment, var, value) {
-            self.weight
-        } else {
-            0.0
-        }
-    }
-
-    /// Satisfaction under an arbitrary state accessor with `var`
-    /// overridden — lets samplers store state in atomics without copying.
-    pub fn satisfied_by(&self, read: &impl Fn(VarId) -> bool, var: VarId, value: bool) -> bool {
-        let get = |v: VarId| if v == var { value } else { read(v) };
+        let get = |v: VarId| if v == var { value } else { assignment[v] };
         if self.body.is_empty() {
             return get(self.head);
         }
@@ -90,9 +75,9 @@ impl Factor {
         !body_true || get(self.head)
     }
 
-    /// Log value under an arbitrary state accessor with an override.
-    pub fn log_value_by(&self, read: &impl Fn(VarId) -> bool, var: VarId, value: bool) -> f64 {
-        if self.satisfied_by(read, var, value) {
+    /// Log value with an override (read-only).
+    pub fn log_value_with(&self, assignment: &[bool], var: VarId, value: bool) -> f64 {
+        if self.satisfied_with(assignment, var, value) {
             self.weight
         } else {
             0.0
@@ -182,22 +167,7 @@ impl FactorGraph {
 
     /// The log-value difference for flipping `v` to true vs false, with
     /// the rest of the assignment fixed — the Gibbs conditional's logit.
-    pub fn flip_delta(&self, v: VarId, assignment: &mut [bool]) -> f64 {
-        let mut delta = 0.0;
-        let old = assignment[v];
-        for &fi in self.factors_of(v) {
-            let f = &self.factors[fi];
-            assignment[v] = true;
-            delta += f.log_value(assignment);
-            assignment[v] = false;
-            delta -= f.log_value(assignment);
-        }
-        assignment[v] = old;
-        delta
-    }
-
-    /// Read-only variant of [`FactorGraph::flip_delta`]: no temporary
-    /// mutation, so color classes can be resampled concurrently from a
+    /// Read-only, so color classes can be resampled concurrently from a
     /// shared assignment slice.
     pub fn flip_delta_ro(&self, v: VarId, assignment: &[bool]) -> f64 {
         self.factors_of(v)
@@ -205,17 +175,6 @@ impl FactorGraph {
             .map(|&fi| {
                 let f = &self.factors[fi];
                 f.log_value_with(assignment, v, true) - f.log_value_with(assignment, v, false)
-            })
-            .sum()
-    }
-
-    /// Flip delta under an arbitrary state accessor (atomics, snapshots).
-    pub fn flip_delta_by(&self, v: VarId, read: &impl Fn(VarId) -> bool) -> f64 {
-        self.factors_of(v)
-            .iter()
-            .map(|&fi| {
-                let f = &self.factors[fi];
-                f.log_value_by(read, v, true) - f.log_value_by(read, v, false)
             })
             .sum()
     }
@@ -387,9 +346,9 @@ mod tests {
     #[test]
     fn flip_delta_matches_brute_force() {
         let g = chain();
-        let mut a = vec![true, false, true];
+        let a = vec![true, false, true];
         for v in 0..3 {
-            let delta = g.flip_delta(v, &mut a.clone());
+            let delta = g.flip_delta_ro(v, &a);
             let mut hi = a.clone();
             hi[v] = true;
             let mut lo = a.clone();
@@ -397,8 +356,6 @@ mod tests {
             let expected = g.log_score(&hi) - g.log_score(&lo);
             assert!((delta - expected).abs() < 1e-12, "var {v}");
         }
-        a[0] = false; // ensure mutation-free probing
-        let _ = g.flip_delta(0, &mut a);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use probkb_factorgraph::prelude::{FactorGraph, VarId};
 
-use crate::gibbs::Marginals;
+use crate::partitioned::{sigmoid, Marginals};
 
 /// BP configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,15 +139,12 @@ pub fn belief_propagation(graph: &FactorGraph, config: &BpConfig) -> BpResult {
                 .iter()
                 .map(|&(fi, slot)| msg_fv[fi][slot])
                 .sum();
-            crate::gibbs::sigmoid(logit)
+            sigmoid(logit)
         })
         .collect();
 
     BpResult {
-        marginals: Marginals {
-            p,
-            samples: iterations,
-        },
+        marginals: Marginals { p },
         iterations,
         converged,
     }
@@ -260,7 +257,6 @@ pub fn max_product(graph: &FactorGraph, config: &BpConfig) -> (Vec<bool>, usize,
 mod tests {
     use super::*;
     use crate::exact::exact_marginals;
-    use crate::gibbs::sigmoid;
     use probkb_factorgraph::prelude::Factor;
 
     fn assert_close(got: &[f64], want: &[f64], tol: f64, what: &str) {

@@ -57,7 +57,7 @@ pub fn log_partition(graph: &FactorGraph) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gibbs::sigmoid;
+    use crate::partitioned::sigmoid;
     use probkb_factorgraph::prelude::Factor;
 
     #[test]

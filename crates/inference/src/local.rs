@@ -25,8 +25,7 @@ use probkb_core::prelude::annotate;
 use probkb_factorgraph::prelude::from_phi;
 
 use crate::exact::exact_marginals;
-use crate::gibbs::GibbsConfig;
-use crate::partitioned::partitioned_marginals;
+use crate::partitioned::{partitioned_marginals, GibbsConfig};
 
 /// Largest local subgraph answered by exact enumeration. Kept below the
 /// `exact_marginals` hard limit (24) so local queries never panic, with
@@ -225,7 +224,7 @@ impl LocalSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gibbs::sigmoid;
+    use crate::partitioned::sigmoid;
     use probkb_core::prelude::{expand, ExpandOptions};
     use probkb_kb::prelude::parse;
 

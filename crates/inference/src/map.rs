@@ -15,7 +15,7 @@
 use probkb_factorgraph::prelude::FactorGraph;
 use probkb_support::rng::{Rng, SeedableRng, StdRng};
 
-use crate::gibbs::sigmoid;
+use crate::partitioned::sigmoid;
 
 /// A MAP solution: an assignment and its unnormalized log score.
 #[derive(Debug, Clone, PartialEq)]

@@ -9,7 +9,7 @@ use probkb_core::relmodel::tpi;
 use probkb_factorgraph::prelude::GroundGraph;
 use probkb_relational::prelude::{Table, Value};
 
-use crate::gibbs::Marginals;
+use crate::partitioned::Marginals;
 
 /// Replace NULL weights in a `TΠ` snapshot with estimated marginals.
 /// Facts that never appeared in any factor keep their NULL weight.
@@ -42,7 +42,7 @@ pub fn marginal_of(gg: &GroundGraph, marginals: &Marginals, fact_id: i64) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gibbs::{gibbs_marginals, GibbsConfig};
+    use crate::partitioned::{partitioned_marginals, GibbsConfig};
     use probkb_core::prelude::*;
     use probkb_factorgraph::prelude::from_phi;
     use probkb_kb::prelude::parse;
@@ -60,7 +60,7 @@ mod tests {
         let mut engine = SingleNodeEngine::new();
         let out = ground(&kb, &mut engine, &GroundingConfig::default()).unwrap();
         let gg = from_phi(&out.factors);
-        let marginals = gibbs_marginals(
+        let marginals = partitioned_marginals(
             &gg.graph,
             &GibbsConfig {
                 burn_in: 200,
@@ -68,7 +68,8 @@ mod tests {
                 seed: 1,
                 ..GibbsConfig::default()
             },
-        );
+        )
+        .marginals;
         let (updated, written) = write_marginals(&out.facts, &gg, &marginals);
         assert_eq!(written, 1); // the inferred live_in fact
         // Every weight is now non-null...

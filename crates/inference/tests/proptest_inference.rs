@@ -1,5 +1,5 @@
-//! Property tests: samplers and BP validated against the exact oracle on
-//! random small factor graphs.
+//! Property tests: the Gibbs kernel and BP validated against the exact
+//! oracle on random small factor graphs.
 
 use probkb_support::check::prelude::*;
 
@@ -24,30 +24,44 @@ fn arb_graph() -> impl Strategy<Value = FactorGraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Gibbs marginals converge to the exact ones.
+    /// The Gibbs kernel converges to the exact marginals with one chain
+    /// on one worker.
     #[test]
     fn gibbs_matches_exact(g in arb_graph()) {
         let exact = exact_marginals(&g);
-        let est = gibbs_marginals(
+        let est = partitioned_marginals(
             &g,
-            &GibbsConfig { burn_in: 300, samples: 12_000, seed: 17, ..GibbsConfig::default() },
+            &GibbsConfig {
+                burn_in: 300,
+                samples: 12_000,
+                seed: 17,
+                chains: 1,
+                workers: Some(1),
+                ..GibbsConfig::default()
+            },
         );
-        for (v, (e, m)) in exact.iter().zip(est.p.iter()).enumerate() {
+        for (v, (e, m)) in exact.iter().zip(est.marginals.p.iter()).enumerate() {
             prop_assert!((e - m).abs() < 0.05, "var {v}: exact {e} vs gibbs {m}");
         }
     }
 
-    /// Chromatic parallel Gibbs matches the exact oracle too.
+    /// ... and with three chains fanned over three workers.
     #[test]
-    fn chromatic_matches_exact(g in arb_graph()) {
+    fn multi_chain_gibbs_matches_exact(g in arb_graph()) {
         let exact = exact_marginals(&g);
-        let est = chromatic_marginals(
+        let est = partitioned_marginals(
             &g,
-            3,
-            &GibbsConfig { burn_in: 300, samples: 12_000, seed: 23, ..GibbsConfig::default() },
+            &GibbsConfig {
+                burn_in: 300,
+                samples: 12_000,
+                seed: 23,
+                chains: 3,
+                workers: Some(3),
+                ..GibbsConfig::default()
+            },
         );
-        for (v, (e, m)) in exact.iter().zip(est.p.iter()).enumerate() {
-            prop_assert!((e - m).abs() < 0.05, "var {v}: exact {e} vs chromatic {m}");
+        for (v, (e, m)) in exact.iter().zip(est.marginals.p.iter()).enumerate() {
+            prop_assert!((e - m).abs() < 0.05, "var {v}: exact {e} vs multi-chain {m}");
         }
     }
 

@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use probkb::core::checkpoint::{ground_checkpointed, CheckpointConfig};
 use probkb::core::prelude::{GroundingConfig, SemiNaiveEngine};
 use probkb::factorgraph::prelude::from_phi;
-use probkb::inference::prelude::{gibbs_marginals, GibbsConfig};
+use probkb::inference::prelude::{partitioned_marginals, GibbsConfig};
 use probkb::kb::prelude::parse;
 use probkb::storage::format::{encode_table, ByteWriter};
 use probkb::storage::snapshot::SnapshotBuilder;
@@ -79,7 +79,7 @@ fn main() {
     // Fixed-seed marginal inference over the recovered factor graph:
     // deterministic given identical factors, so it belongs in the export.
     let graph = from_phi(&run.outcome.factors);
-    let marginals = gibbs_marginals(&graph.graph, &GibbsConfig::default());
+    let marginals = partitioned_marginals(&graph.graph, &GibbsConfig::default()).marginals;
     let mut enc = ByteWriter::new();
     enc.put_u64(marginals.p.len() as u64);
     for &p in &marginals.p {

@@ -17,7 +17,7 @@
 //! | [`kb`] | the probabilistic KB model: entities, classes, typed facts, Horn rules, constraints |
 //! | [`core`] | the paper's contribution: relational MLN model + batch grounding (Algorithm 1) |
 //! | [`factorgraph`] | ground factor graphs, lineage, coloring, JSON export |
-//! | [`inference`] | Gibbs sampling (sequential + chromatic parallel) and an exact oracle |
+//! | [`inference`] | partitioned multi-chain Gibbs (full and blanket-scoped), BP, MAP, and an exact oracle |
 //! | [`quality`] | constraints, ambiguity detection, rule cleaning, precision evaluation |
 //! | [`datagen`] | ReVerb-Sherlock-style synthetic workloads with ground truth |
 //! | [`storage`] | durable storage: snapshots, write-ahead log, checkpoint codecs |
@@ -63,9 +63,8 @@ pub mod pipeline {
         color, extend_color, from_phi, Coloring, GroundGraph, Lineage, VarId,
     };
     use probkb_inference::prelude::{
-        belief_propagation, blanket_of, blanket_resample_with, chromatic_marginals,
-        gibbs_marginals, partitioned_marginals, write_marginals, BlanketReport, BpConfig,
-        GibbsConfig, GibbsReport, Marginals,
+        belief_propagation, blanket_of, partitioned_marginals, write_marginals, BpConfig,
+        GibbsConfig, GibbsReport, Marginals, PartitionedGibbs,
     };
     use probkb_kb::prelude::ProbKb;
     use probkb_relational::prelude::{Result, Table};
@@ -73,13 +72,9 @@ pub mod pipeline {
     /// Which engine runs the marginal-inference stage.
     #[derive(Debug, Clone, Copy, PartialEq)]
     pub enum Sampler {
-        /// Sequential Gibbs.
-        Gibbs,
-        /// Chromatic parallel Gibbs with the given thread count.
-        ChromaticGibbs(usize),
         /// Partition-sharded multi-chain Gibbs with online convergence
         /// control (chains/workers/target R̂ come from the `gibbs` config;
-        /// the worker count never changes results).
+        /// the worker count never changes results). The default.
         Partitioned,
         /// Deterministic loopy belief propagation.
         BeliefPropagation(BpConfig),
@@ -100,7 +95,7 @@ pub mod pipeline {
         fn default() -> Self {
             PipelineOptions {
                 expand: ExpandOptions::default(),
-                sampler: Sampler::Gibbs,
+                sampler: Sampler::Partitioned,
                 gibbs: GibbsConfig::default(),
             }
         }
@@ -116,7 +111,7 @@ pub mod pipeline {
         /// Estimated marginals.
         pub marginals: Marginals,
         /// Inference execution report with `workers=`/`sweeps=`/`rhat=`
-        /// annotations (populated by [`Sampler::Partitioned`]).
+        /// annotations (`None` under [`Sampler::BeliefPropagation`]).
         pub inference: Option<GibbsReport>,
         /// `TΠ` with NULL weights replaced by marginals.
         pub facts_with_marginals: Table,
@@ -149,10 +144,6 @@ pub mod pipeline {
         let graph = from_phi(&expansion.outcome.factors);
         let mut inference = None;
         let marginals = match options.sampler {
-            Sampler::Gibbs => gibbs_marginals(&graph.graph, &options.gibbs),
-            Sampler::ChromaticGibbs(threads) => {
-                chromatic_marginals(&graph.graph, threads, &options.gibbs)
-            }
             Sampler::Partitioned => {
                 let run = partitioned_marginals(&graph.graph, &options.gibbs);
                 inference = Some(run.report);
@@ -180,8 +171,9 @@ pub mod pipeline {
     pub struct PipelineDelta {
         /// Grounding-side report (rounds, reuse counters, fallback flag).
         pub grounding: DeltaReport,
-        /// Inference-side report: how much of the graph was resampled.
-        pub inference: BlanketReport,
+        /// Inference-side report: how much of the graph was resampled
+        /// (`touched`/`vars`, `active_shards`/`shards`).
+        pub inference: GibbsReport,
         /// Old fact id → new fact id (the delta may renumber: new base
         /// facts take low ids ahead of previously derived facts). Empty
         /// when the delta fell back to a full re-ground.
@@ -238,19 +230,12 @@ pub mod pipeline {
         /// Re-derive graph, coloring, and marginals from the session's
         /// current factors (cold start; used at construction and after a
         /// constraint-driven full-fallback delta).
-        fn rebuild_all(&mut self) -> BlanketReport {
+        fn rebuild_all(&mut self) -> GibbsReport {
             self.graph = from_phi(self.session.factors());
             self.coloring = color(&self.graph.graph);
-            let n = self.graph.graph.num_vars();
-            let all: Vec<VarId> = (0..n).collect();
-            let run = blanket_resample_with(
-                &self.graph.graph,
-                &self.coloring,
-                &all,
-                &[],
-                &vec![0.5; n],
-                &self.gibbs,
-            );
+            let run =
+                PartitionedGibbs::with_coloring(&self.graph.graph, &self.coloring, &self.gibbs)
+                    .run();
             self.chains = run.states;
             self.marginals = run.marginals.p;
             run.report
@@ -299,14 +284,9 @@ pub mod pipeline {
             let touched = blanket_of(&self.graph.graph, &seeds);
 
             self.marginals.resize(self.graph.graph.num_vars(), 0.5);
-            let run = blanket_resample_with(
-                &self.graph.graph,
-                &self.coloring,
-                &touched,
-                &self.chains,
-                &self.marginals,
-                &self.gibbs,
-            );
+            let run =
+                PartitionedGibbs::with_coloring(&self.graph.graph, &self.coloring, &self.gibbs)
+                    .run_from(Some(&touched), &self.chains, &self.marginals);
             self.chains = run.states;
             self.marginals = run.marginals.p;
             let touched_facts = touched.iter().map(|&v| self.graph.fact_of(v)).collect();

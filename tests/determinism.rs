@@ -7,13 +7,14 @@
 use probkb::pipeline::{run_pipeline, PipelineOptions, PipelineResult, Sampler};
 use probkb::prelude::*;
 
-fn options(sampler: Sampler) -> PipelineOptions {
+fn options(workers: usize, seed: u64) -> PipelineOptions {
     PipelineOptions {
-        sampler,
+        sampler: Sampler::Partitioned,
         gibbs: GibbsConfig {
             burn_in: 50,
             samples: 400,
-            seed: 17,
+            seed,
+            workers: Some(workers),
             ..GibbsConfig::default()
         },
         ..PipelineOptions::default()
@@ -27,22 +28,22 @@ fn marginal_bits(result: &PipelineResult) -> Vec<u64> {
 #[test]
 fn same_seed_same_marginals_and_fact_sets() {
     let kb = generate(&ReverbConfig::tiny());
-    for sampler in [Sampler::Gibbs, Sampler::ChromaticGibbs(4)] {
-        let a = run_pipeline(&kb, &options(sampler)).expect("pipeline");
-        let b = run_pipeline(&kb, &options(sampler)).expect("pipeline");
+    for workers in [1usize, 4] {
+        let a = run_pipeline(&kb, &options(workers, 17)).expect("pipeline");
+        let b = run_pipeline(&kb, &options(workers, 17)).expect("pipeline");
 
         // Marginals byte-identical (bit patterns, not approximate equality).
         assert_eq!(
             marginal_bits(&a),
             marginal_bits(&b),
-            "marginals must be bit-identical under {sampler:?}"
+            "marginals must be bit-identical at {workers} workers"
         );
 
         // Grounded fact sets byte-identical, row order included.
         assert_eq!(
             format!("{:?}", a.expansion.outcome.facts),
             format!("{:?}", b.expansion.outcome.facts),
-            "grounded TΠ must match exactly under {sampler:?}"
+            "grounded TΠ must match exactly at {workers} workers"
         );
         assert_eq!(a.expansion.outcome.facts.len(), b.expansion.outcome.facts.len());
         assert!(a.expansion.outcome.facts.len() >= kb.facts.len());
@@ -54,14 +55,22 @@ fn same_seed_same_marginals_and_fact_sets() {
 
 #[test]
 fn sweeps_are_deterministic_across_thread_counts_of_one_run() {
-    // The chromatic sampler seeds per (sweep, class, chunk), so repeated
-    // runs at the same thread count agree exactly.
+    // The sampler seeds one RNG stream per (seed, chain, sweep, shard),
+    // so the marginals are bit-identical across worker counts, not just
+    // across repeats at one count.
     let kb = generate(&ReverbConfig::tiny().with_seed(3));
-    for threads in [1usize, 2, 8] {
-        let a = run_pipeline(&kb, &options(Sampler::ChromaticGibbs(threads))).unwrap();
-        let b = run_pipeline(&kb, &options(Sampler::ChromaticGibbs(threads))).unwrap();
-        assert_eq!(marginal_bits(&a), marginal_bits(&b), "threads = {threads}");
+    let baseline = run_pipeline(&kb, &options(1, 17)).unwrap();
+    for workers in [1usize, 2, 8] {
+        let run = run_pipeline(&kb, &options(workers, 17)).unwrap();
+        assert_eq!(
+            marginal_bits(&baseline),
+            marginal_bits(&run),
+            "workers = {workers}"
+        );
     }
+    // ...and the seed reaches the draws: another seed samples differently.
+    let reseeded = run_pipeline(&kb, &options(1, 18)).unwrap();
+    assert_ne!(marginal_bits(&baseline), marginal_bits(&reseeded));
 }
 
 #[test]
@@ -73,7 +82,7 @@ fn same_seed_byte_identical_across_grounding_thread_counts() {
     // PROBKB_THREADS — the env var is read once per process.)
     let kb = generate(&ReverbConfig::tiny());
     let run = |threads: usize| {
-        let mut o = options(Sampler::Gibbs);
+        let mut o = options(1, 17);
         o.expand.config.threads = Some(threads);
         run_pipeline(&kb, &o).expect("pipeline")
     };
