@@ -15,6 +15,21 @@ fn table(rows: usize, keys: i64) -> Table {
     )
 }
 
+/// A grounding-shaped table: a 4-column all-`Int` key `(R, C1, C2, z)`,
+/// like the `TΠ` legs Query 1-i joins on, derived from `i % keys`, plus a
+/// payload column.
+fn keyed4(rows: usize, keys: i64) -> Table {
+    Table::from_rows_unchecked(
+        Schema::ints(&["r", "c1", "c2", "z", "v"]),
+        (0..rows as i64)
+            .map(|i| {
+                let k = i % keys;
+                [k % 50, k % 7, k % 11, k, i].map(Value::Int).to_vec()
+            })
+            .collect(),
+    )
+}
+
 fn bench_operators(c: &mut Criterion) {
     let mut group = c.benchmark_group("relational_operators");
     group.sample_size(20);
@@ -23,10 +38,18 @@ fn bench_operators(c: &mut Criterion) {
         let cat = Catalog::new();
         cat.create_or_replace("t", table(rows, 500));
         cat.create_or_replace("dim", table(500, 500));
+        cat.create_or_replace("t4", keyed4(rows, 500));
+        cat.create_or_replace("dim4", keyed4(500, 500));
         let exec = Executor::new(&cat);
 
         group.bench_with_input(BenchmarkId::new("hash_join", rows), &rows, |b, _| {
             let plan = Plan::scan("t").hash_join(Plan::scan("dim"), vec![0], vec![0]);
+            b.iter(|| std::hint::black_box(exec.execute_table(&plan).unwrap().len()));
+        });
+
+        group.bench_with_input(BenchmarkId::new("hash_join_4key", rows), &rows, |b, _| {
+            let keys = vec![0, 1, 2, 3];
+            let plan = Plan::scan("t4").hash_join(Plan::scan("dim4"), keys.clone(), keys);
             b.iter(|| std::hint::black_box(exec.execute_table(&plan).unwrap().len()));
         });
 

@@ -285,7 +285,7 @@ impl PreparedApply {
         // the posting lists onto the replay's row order.
         let t_old_indexes: Vec<Arc<HashIndex>> = tpi_join_keys()
             .iter()
-            .map(|key_cols| Arc::new(HashIndex::build_parallel(facts, key_cols, threads)))
+            .map(|key_cols| Arc::new(HashIndex::build(facts, key_cols, threads)))
             .collect();
         let sched_indexes: HashMap<usize, Vec<Arc<HashIndex>>> = schedule
             .iter()
@@ -294,7 +294,7 @@ impl PreparedApply {
                 let table = Table::from_rows_unchecked(tpi_schema(), rows);
                 let indexes = tpi_join_keys()[..2]
                     .iter()
-                    .map(|key_cols| Arc::new(HashIndex::build_parallel(&table, key_cols, threads)))
+                    .map(|key_cols| Arc::new(HashIndex::build(&table, key_cols, threads)))
                     .collect();
                 (round, indexes)
             })

@@ -200,7 +200,7 @@ mod tests {
         let t = table();
         let ctx = ctx();
         let bt = BTreeIndex::build(&ctx, &t, &[0]).unwrap();
-        let hi = HashIndex::build(&t, &[0]);
+        let hi = HashIndex::build(&t, &[0], 1);
         for r in 0..5i64 {
             let key = vec![Value::Int(r)];
             assert_eq!(bt.get(&key).unwrap(), hi.get(&key), "key {r}");
@@ -245,7 +245,7 @@ mod tests {
         );
         let ctx = ctx();
         let bt = BTreeIndex::build(&ctx, &t, &[0]).unwrap();
-        let hi = HashIndex::build(&t, &[0]);
+        let hi = HashIndex::build(&t, &[0], 1);
         for k in 0..7i64 {
             let key = vec![Value::Int(k)];
             assert_eq!(bt.get(&key).unwrap(), hi.get(&key), "k={k}");
@@ -268,7 +268,7 @@ mod tests {
         t.flush_tail().unwrap();
         bt.extend_from(&t, 5000).unwrap();
         let fresh = BTreeIndex::build(&ctx, &t, &[0]).unwrap();
-        let hi = HashIndex::build(&t, &[0]);
+        let hi = HashIndex::build(&t, &[0], 1);
         for k in 0..31i64 {
             let key = vec![Value::Int(k)];
             assert_eq!(bt.get(&key).unwrap(), hi.get(&key), "k={k}");

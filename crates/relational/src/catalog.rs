@@ -355,7 +355,7 @@ impl Catalog {
                 "build_index({name}): key column {c} out of range"
             )));
         }
-        let index = Arc::new(HashIndex::build_parallel(&table, key_cols, threads));
+        let index = Arc::new(HashIndex::build(&table, key_cols, threads));
         let mut guard = self.indexes.write();
         let list = guard.entry(name.to_string()).or_default();
         list.retain(|idx| idx.key_cols() != key_cols);
@@ -390,7 +390,7 @@ impl Catalog {
         }
         debug_assert_eq!(
             *index,
-            HashIndex::build(&table, index.key_cols()),
+            HashIndex::build(&table, index.key_cols(), 1),
             "install_index({name}): installed index diverges from a fresh build"
         );
         let mut guard = self.indexes.write();

@@ -13,10 +13,14 @@
 //! at least [`Executor::with_parallel_threshold`] rows run on a fork-join
 //! pool instead of the caller's thread:
 //!
-//! * **Hash join** — the build side is partitioned by key hash so every
-//!   distinct key lives wholly in one partition; partitions are built
-//!   concurrently, then probe-side chunks are scanned in parallel with
-//!   per-chunk outputs concatenated in chunk order.
+//! * **Equi-join** (inner, semi, anti) — one probe loop over one lookup:
+//!   a prebuilt catalog [`HashIndex`] or [`BTreeIndex`] when the build
+//!   side is an indexed scan, else a [`HashIndex`] built for the join
+//!   over the executed build input, its chunks indexed concurrently and
+//!   merged in chunk order. Probe-side chunks are scanned in parallel
+//!   with per-chunk outputs concatenated in chunk order; every lookup
+//!   returns build positions ascending, so all of them emit the same
+//!   rows in the same order.
 //! * **Aggregate** — each worker folds its chunk into a partial group map;
 //!   partials are merged in chunk order. Only exact / order-insensitive
 //!   aggregates (COUNT, integer SUM, MIN, MAX) take this path — float SUM
@@ -30,47 +34,55 @@
 //! count. The differential suite in `tests/proptest_parallel.rs` holds
 //! this line.
 
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
-
-use probkb_support::hash::{fx_map_with_capacity, FxHashMap, FxHasher};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use probkb_pager::buffer::BufferStats;
-use probkb_support::sync::{default_threads, map_chunks, map_indices};
+use probkb_support::hash::FxHashMap;
+use probkb_support::sync::{default_threads, map_chunks, map_ranges};
 
 use crate::btree_index::BTreeIndex;
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::Expr;
-use crate::index::HashIndex;
+use crate::index::{HashIndex, IntKey, INLINE_KEY_WIDTH};
 use crate::optimizer;
 use crate::plan::{AggExpr, AggFunc, BuildSide, JoinKind, Plan};
 use crate::schema::Schema;
 use crate::spill::StorageContext;
-use crate::table::{Row, Table};
+use crate::table::{Block, Row, Table};
 use crate::value::Value;
 
-/// Joins whose build keys turned out to be all-`Int` and took the dense
-/// `[i64; 3]` fast path instead of hashing boxed `Vec<Value>` keys.
-static DENSE_INT_JOINS: AtomicU64 = AtomicU64::new(0);
-/// Probe blocks whose join keys were read straight out of dense `u32`
-/// id columns of a decoded chunk (no `Value` boxing on the probe path).
-static DENSE_U32_PROBE_BLOCKS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of serial inner joins that engaged the dense
-/// integer-key fast path. Monotonic; used by regression tests to assert
-/// the id-interned grounding joins stay on the unboxed path.
-pub fn dense_int_join_count() -> u64 {
-    DENSE_INT_JOINS.load(Ordering::Relaxed)
+thread_local! {
+    /// Joins on this thread whose lookup was a hash index with inline
+    /// integer keys instead of boxed `Vec<Value>` keys.
+    static INLINE_KEY_JOINS: Cell<u64> = const { Cell::new(0) };
+    /// Probe ranges on this thread whose join keys were read straight out
+    /// of dense `u32` id columns of a decoded chunk.
+    static DENSE_U32_PROBES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Process-wide count of probe blocks served from dense `u32` id
-/// columns without materializing `Value`s for key extraction.
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    counter.with(|c| c.set(c.get() + 1));
+}
+
+/// Count of joins run on the calling thread whose lookup was a hash
+/// index with inline integer keys (the id-interned grounding case).
+/// Monotonic, and per thread so concurrent tests cannot inflate it:
+/// regression tests use it to assert grounding joins stay unboxed.
+pub fn dense_int_join_count() -> u64 {
+    INLINE_KEY_JOINS.with(Cell::get)
+}
+
+/// Count of probe ranges, on the calling thread, keyed straight from
+/// dense `u32` id columns without materializing `Value`s for key
+/// extraction. A serial probe has one range per block; a parallel probe
+/// counts on its worker threads.
 pub fn dense_u32_probe_block_count() -> u64 {
-    DENSE_U32_PROBE_BLOCKS.load(Ordering::Relaxed)
+    DENSE_U32_PROBES.with(Cell::get)
 }
 
 /// Per-node execution statistics, mirroring the plan tree.
@@ -142,12 +154,15 @@ impl Par {
     }
 }
 
-/// A prebuilt index usable by the join fast path: in-memory hash or
-/// disk-resident B-tree. Both return match positions in ascending row
-/// order, so either one reproduces the hash-join output exactly.
-enum SideIndex {
+/// Where a join looks up the build rows matching a probe key. Every
+/// lookup returns positions in ascending row order, so all three emit
+/// the same rows in the same order.
+enum Lookup {
+    /// A hash index: kept by the catalog, or built for this join.
     Hash(Arc<HashIndex>),
-    BTree(Arc<BTreeIndex>),
+    /// A catalog B-tree. It may index rows appended after this query's
+    /// snapshot of `len` rows; positions at or past `len` are skipped.
+    BTree { index: Arc<BTreeIndex>, len: usize },
 }
 
 /// A join input resolved to a catalog table with a usable prebuilt index:
@@ -156,7 +171,7 @@ enum SideIndex {
 struct IndexedSide {
     name: String,
     table: Arc<Table>,
-    index: SideIndex,
+    lookup: Lookup,
     /// Output-position → base-column map for a projected scan; `None`
     /// for a bare scan (identity).
     cols: Option<Vec<usize>>,
@@ -164,6 +179,25 @@ struct IndexedSide {
     /// index's (ascending) column order; applied to the probe keys so the
     /// pairs stay aligned.
     perm: Vec<usize>,
+}
+
+/// How an inner join reads the build row at a matched position.
+enum BuildRows<'t> {
+    /// Semi and anti joins read no build rows.
+    None,
+    /// An executed build input's rows, materialized by [`Table::rows`].
+    Input(&'t [Row]),
+    /// A catalog table, read by position one chunk at a time (a spilled
+    /// table is never materialized whole) and projected through `cols`.
+    Catalog(&'t Table, Option<&'t [usize]>),
+}
+
+/// The build side of an equi-join as the probe loop sees it.
+struct Build<'t> {
+    lookup: Lookup,
+    rows: BuildRows<'t>,
+    /// Whether the build rows land on the left of each output row.
+    on_left: bool,
 }
 
 /// Either a shared snapshot (scans) or an operator-owned table.
@@ -328,21 +362,21 @@ impl<'a> Executor<'a> {
                 let rows_out = t.len();
                 Ok((
                     Batch::Shared(t),
-                    leaf_metrics(plan, rows_out, start.elapsed()),
+                    leaf_metrics(plan.describe(), rows_out, start.elapsed()),
                 ))
             }
             Plan::Values { table } => Ok((
                 Batch::Owned(table.clone()),
-                leaf_metrics(plan, table.len(), Duration::ZERO),
+                leaf_metrics(plan.describe(), table.len(), Duration::ZERO),
             )),
             Plan::Filter { input, predicate } => {
                 let (batch, child) = self.run(input)?;
                 let start = Instant::now();
                 let src = batch.table();
                 let workers = self.workers_for(src.len());
-                let (rows, par) = try_par_map_table(src, workers, |part| {
+                let (rows, par) = try_par_map_table(src, workers, |block, range| {
                     let mut out = Vec::new();
-                    for row in part {
+                    for row in &block.rows()[range] {
                         if predicate.eval(row)?.is_truthy() {
                             out.push(row.clone());
                         }
@@ -359,9 +393,9 @@ impl<'a> Executor<'a> {
                 let lookup = |name: &str| self.catalog.schema_of(name);
                 let schema = plan.schema(&lookup)?;
                 let workers = self.workers_for(src.len());
-                let (rows, par) = try_par_map_table(src, workers, |part| {
-                    let mut out = Vec::with_capacity(part.len());
-                    for row in part {
+                let (rows, par) = try_par_map_table(src, workers, |block, range| {
+                    let mut out = Vec::with_capacity(range.len());
+                    for row in &block.rows()[range] {
                         let mut r = Vec::with_capacity(exprs.len());
                         for (e, _) in exprs {
                             r.push(e.eval(row)?);
@@ -388,63 +422,7 @@ impl<'a> Executor<'a> {
                         right_keys.len()
                     )));
                 }
-                // Index-join fast path: when a side is a (projected) scan
-                // of a table with a prebuilt index on exactly these join
-                // keys, probe the index with the other side instead of
-                // re-hashing the scanned table. This overrides the plan's
-                // build-side choice — a prebuilt hash costs nothing.
-                if *kind == JoinKind::Inner {
-                    let li = self.indexed_side(left, left_keys);
-                    let ri = self.indexed_side(right, right_keys);
-                    let pick = match (li, ri) {
-                        (Some(l), Some(r)) => {
-                            // Both indexed: probe into the larger one.
-                            if l.table.len() >= r.table.len() {
-                                Some((true, l))
-                            } else {
-                                Some((false, r))
-                            }
-                        }
-                        (Some(l), None) => Some((true, l)),
-                        (None, Some(r)) => Some((false, r)),
-                        (None, None) => None,
-                    };
-                    if let Some((build_on_left, side)) = pick {
-                        return self.index_join(
-                            plan,
-                            left,
-                            right,
-                            left_keys,
-                            right_keys,
-                            build_on_left,
-                            side,
-                        );
-                    }
-                }
-                let (lb, lm) = self.run(left)?;
-                let (rb, rm) = self.run(right)?;
-                let start = Instant::now();
-                let lt = lb.table();
-                let rt = rb.table();
-                let build_on_left = match build {
-                    BuildSide::Left => true,
-                    BuildSide::Right => false,
-                    BuildSide::Auto => self.auto_build_on_left(left, right, lt, rt),
-                };
-                let probe_len = match kind {
-                    JoinKind::Inner => lt.len().max(rt.len()),
-                    JoinKind::LeftSemi | JoinKind::LeftAnti => lt.len(),
-                };
-                let workers = self.workers_for(probe_len);
-                let (table, par) = if workers > 1 {
-                    par_hash_join(lt, rt, left_keys, right_keys, *kind, build_on_left, workers)
-                } else {
-                    (
-                        hash_join_build(lt, rt, left_keys, right_keys, *kind, build_on_left),
-                        Par::serial(),
-                    )
-                };
-                Ok(self.done(plan, table, start, par, vec![lm, rm]))
+                self.join(plan, left, right, left_keys, right_keys, *kind, *build)
             }
             Plan::Aggregate {
                 input,
@@ -556,130 +534,109 @@ impl<'a> Executor<'a> {
         // may run ahead of the snapshot (a concurrent append extends it
         // in place) — the probe filters positions back to the snapshot —
         // but must never lag behind it.
-        let index = match self.catalog.index_on(name, &sorted_keys) {
-            Some(h) if h.rows_indexed() == table.len() => SideIndex::Hash(h),
+        let lookup = match self.catalog.index_on(name, &sorted_keys) {
+            Some(h) if h.rows_indexed() == table.len() => Lookup::Hash(h),
             _ => match self.catalog.btree_index_on(name, &sorted_keys) {
-                Some(b) if b.rows_indexed() >= table.len() => SideIndex::BTree(b),
+                Some(b) if b.rows_indexed() >= table.len() => Lookup::BTree {
+                    index: b,
+                    len: table.len(),
+                },
                 _ => return None,
             },
         };
         Some(IndexedSide {
             name: name.to_string(),
             table,
-            index,
+            lookup,
             cols,
             perm,
         })
     }
 
-    /// Inner join where `side` (the build input) is served by a prebuilt
-    /// index: the probe input executes normally and each probe row looks
-    /// up its matches. Output rows, layout (`left ++ right`), and order
-    /// are identical to the hash-join path with the same build side —
-    /// posting lists hold row positions in ascending order, exactly the
-    /// insertion order of a freshly built hash table.
+    /// The one equi-join routine, for inner, semi and anti joins. The
+    /// build side is looked up through a prebuilt catalog index when
+    /// [`Executor::indexed_side`] finds one (it overrides the plan's
+    /// build-side choice: a prebuilt index costs nothing), and otherwise
+    /// through a [`HashIndex`] built over the executed build input. Semi
+    /// and anti joins always build on the right.
     #[allow(clippy::too_many_arguments)]
-    fn index_join(
+    fn join(
         &self,
         plan: &Plan,
         left: &Plan,
         right: &Plan,
         left_keys: &[usize],
         right_keys: &[usize],
-        build_on_left: bool,
-        side: IndexedSide,
+        kind: JoinKind,
+        build: BuildSide,
     ) -> Result<(Batch, ExecMetrics)> {
-        let (probe_plan, probe_keys, build_plan) = if build_on_left {
-            (right, right_keys, left)
+        let indexed = match kind {
+            JoinKind::Inner => {
+                match (
+                    self.indexed_side(left, left_keys),
+                    self.indexed_side(right, right_keys),
+                ) {
+                    // Both indexed: probe into the larger one.
+                    (Some(l), Some(r)) if l.table.len() >= r.table.len() => Some((true, l)),
+                    (Some(l), None) => Some((true, l)),
+                    (_, r) => r.map(|r| (false, r)),
+                }
+            }
+            JoinKind::LeftSemi | JoinKind::LeftAnti => {
+                self.indexed_side(right, right_keys).map(|r| (false, r))
+            }
+        };
+        let Some((build_on_left, side)) = indexed else {
+            let (lb, lm) = self.run(left)?;
+            let (rb, rm) = self.run(right)?;
+            let start = Instant::now();
+            let (lt, rt) = (lb.table(), rb.table());
+            let (build_on_left, probe_len) = match kind {
+                JoinKind::Inner => {
+                    let on_left = match build {
+                        BuildSide::Left => true,
+                        BuildSide::Right => false,
+                        BuildSide::Auto => self.auto_build_on_left(left, right, lt, rt),
+                    };
+                    (on_left, lt.len().max(rt.len()))
+                }
+                JoinKind::LeftSemi | JoinKind::LeftAnti => (false, lt.len()),
+            };
+            let workers = self.workers_for(probe_len);
+            let (table, par) =
+                transient_join(lt, rt, left_keys, right_keys, kind, build_on_left, workers);
+            // A serial hash join reports one worker, also over a
+            // multi-block (spilled) probe input.
+            let par = if workers > 1 { par } else { Par::serial() };
+            return Ok(self.done(plan, table, start, par, vec![lm, rm]));
+        };
+        let (probe_plan, probe_keys) = if build_on_left {
+            (right, right_keys)
         } else {
-            (left, left_keys, right)
+            (left, left_keys)
         };
         let (pb, pm) = self.run(probe_plan)?;
         let start = Instant::now();
         let probe = pb.table();
-        let lookup = |name: &str| self.catalog.schema_of(name);
-        let build_schema = build_plan.schema(&lookup)?;
-        let schema = if build_on_left {
-            build_schema.join(probe.schema())
-        } else {
-            probe.schema().join(&build_schema)
-        };
-        let width = schema.width();
+        let schema = plan.schema(&|name: &str| self.catalog.schema_of(name))?;
         let probe_cols: Vec<usize> = side.perm.iter().map(|&i| probe_keys[i]).collect();
-        let snapshot_len = side.table.len();
+        let build = Build {
+            lookup: side.lookup,
+            rows: BuildRows::Catalog(&side.table, side.cols.as_deref()),
+            on_left: build_on_left,
+        };
         let workers = self.workers_for(probe.len());
-        let (rows, par) = try_par_map_table(probe, workers, |chunk| {
-            // One positional reader per chunk: spilled build tables are
-            // paged in one columnar chunk at a time instead of being
-            // materialized wholesale.
-            let mut reader = side.table.row_reader();
-            let mut emit_build = |bi: usize, out: &mut Row| {
-                let base = reader.row(bi);
-                match &side.cols {
-                    Some(cols) => {
-                        for &c in cols {
-                            out.push(base[c].clone());
-                        }
-                    }
-                    None => out.extend_from_slice(base),
-                }
-            };
-            let mut out = Vec::new();
-            let mut btree_matches;
-            for prow in chunk {
-                let matches: &[usize] = match &side.index {
-                    SideIndex::Hash(h) => h.probe(prow, &probe_cols),
-                    SideIndex::BTree(b) => {
-                        btree_matches = b.probe(prow, &probe_cols)?;
-                        // The tree may index rows appended after this
-                        // snapshot; they are invisible to this query.
-                        btree_matches.retain(|&bi| bi < snapshot_len);
-                        &btree_matches
-                    }
-                };
-                for &bi in matches {
-                    let mut row: Row = Vec::with_capacity(width);
-                    if build_on_left {
-                        emit_build(bi, &mut row);
-                        row.extend_from_slice(prow);
-                    } else {
-                        row.extend_from_slice(prow);
-                        emit_build(bi, &mut row);
-                    }
-                    out.push(row);
-                }
-            }
-            Ok(out)
-        })?;
+        let (rows, par) = probe_join(probe, &probe_cols, &build, kind, schema.width(), workers)?;
         let table = Table::from_rows_unchecked(schema, rows);
-        let build_metrics = ExecMetrics {
-            description: format!("Index Probe on {}", side.name),
-            rows_out: 0,
-            est_rows: 0,
-            elapsed: Duration::ZERO,
-            wall: Duration::ZERO,
-            workers: 1,
-            worker_elapsed: Vec::new(),
-            buffer: None,
-            children: vec![],
-        };
+        let probed = leaf_metrics(format!("Index Probe on {}", side.name), 0, Duration::ZERO);
         let children = if build_on_left {
-            vec![build_metrics, pm]
+            vec![probed, pm]
         } else {
-            vec![pm, build_metrics]
+            vec![pm, probed]
         };
-        let metrics = ExecMetrics {
-            description: format!("{} [index: {}]", plan.describe(), side.name),
-            rows_out: table.len(),
-            est_rows: 0,
-            elapsed: start.elapsed(),
-            wall: Duration::ZERO, // set by `run` from the node-entry timer
-            workers: par.workers,
-            worker_elapsed: par.worker_elapsed,
-            buffer: None, // filled by `run` from the spanning delta
-            children,
-        };
-        Ok((Batch::Owned(table), metrics))
+        let (batch, mut metrics) = self.done(plan, table, start, par, children);
+        metrics.description = format!("{} [index: {}]", metrics.description, side.name);
+        Ok((batch, metrics))
     }
 
     fn done(
@@ -705,9 +662,9 @@ impl<'a> Executor<'a> {
     }
 }
 
-fn leaf_metrics(plan: &Plan, rows_out: usize, elapsed: Duration) -> ExecMetrics {
+fn leaf_metrics(description: String, rows_out: usize, elapsed: Duration) -> ExecMetrics {
     ExecMetrics {
-        description: plan.describe(),
+        description,
         rows_out,
         est_rows: 0, // annotated by `execute` from the plan estimates
         elapsed,
@@ -719,51 +676,29 @@ fn leaf_metrics(plan: &Plan, rows_out: usize, elapsed: Duration) -> ExecMetrics 
     }
 }
 
-/// Chunked fallible row map: run `f` over contiguous row chunks on up to
-/// `workers` threads, concatenating per-chunk outputs in chunk order (so
-/// the result is row-for-row identical to a serial pass) and recording
-/// each worker's busy time.
-fn try_par_map_rows<F>(rows: &[Row], workers: usize, f: F) -> Result<(Vec<Row>, Par)>
-where
-    F: Fn(&[Row]) -> Result<Vec<Row>> + Sync,
-{
-    let chunks = map_chunks(rows, workers, |_, part| {
-        let busy = Instant::now();
-        let out = f(part);
-        vec![(out, busy.elapsed())]
-    });
-    let mut out = Vec::with_capacity(rows.len());
-    let mut worker_elapsed = Vec::with_capacity(chunks.len());
-    for (result, busy) in chunks {
-        out.extend(result?);
-        worker_elapsed.push(busy);
-    }
-    let workers = worker_elapsed.len().max(1);
-    Ok((
-        out,
-        Par {
-            workers,
-            worker_elapsed,
-        },
-    ))
-}
-
-/// [`try_par_map_rows`] over a whole table, streamed block by block so
-/// spilled inputs never materialize more than one decoded chunk at a
-/// time. An in-memory table is a single block, making this byte- and
-/// telemetry-identical to the historical whole-slice call; for a paged
-/// table the per-block outputs (and worker clocks) concatenate in block
-/// order, which is insertion order.
+/// Chunked fallible row map over a whole table, streamed block by block
+/// so spilled inputs never materialize more than one decoded chunk at a
+/// time. Each block is cut into contiguous position ranges, one per
+/// worker; `f` maps a block's range to output rows, and the outputs
+/// concatenate in block and range order — row-for-row what a serial pass
+/// produces — while each worker's busy time is recorded. An in-memory
+/// table is a single block.
 fn try_par_map_table<F>(table: &Table, workers: usize, f: F) -> Result<(Vec<Row>, Par)>
 where
-    F: Fn(&[Row]) -> Result<Vec<Row>> + Sync,
+    F: Fn(&Block<'_>, Range<usize>) -> Result<Vec<Row>> + Sync,
 {
     let mut out = Vec::new();
     let mut worker_elapsed = Vec::new();
     for block in table.blocks() {
-        let (rows, par) = try_par_map_rows(block.rows(), workers, &f)?;
-        out.extend(rows);
-        worker_elapsed.extend(par.worker_elapsed);
+        let parts = map_ranges(block.len(), workers, |_, range| {
+            let busy = Instant::now();
+            let rows = f(&block, range);
+            vec![(rows, busy.elapsed())]
+        });
+        for (rows, busy) in parts {
+            out.extend(rows?);
+            worker_elapsed.push(busy);
+        }
     }
     let workers = worker_elapsed.len().max(1);
     Ok((
@@ -773,142 +708,6 @@ where
             worker_elapsed,
         },
     ))
-}
-
-/// Infallible sibling of [`try_par_map_table`] for operators whose row
-/// closures cannot error (joins).
-fn par_map_table<F>(table: &Table, workers: usize, f: F) -> (Vec<Row>, Par)
-where
-    F: Fn(&[Row]) -> Vec<Row> + Sync,
-{
-    try_par_map_table(table, workers, |part| Ok(f(part))).expect("infallible row map")
-}
-
-/// Hash of a join key, used to route rows to build partitions.
-/// [`FxHasher`] has no per-instance random state, so partition routing
-/// is deterministic across runs, platforms, and thread counts.
-fn key_hash(key: &[Value]) -> u64 {
-    let mut h = FxHasher::default();
-    for v in key {
-        v.hash(&mut h);
-    }
-    h.finish()
-}
-
-/// One hash table per build partition; a key's partition is
-/// `key_hash % len`, so every distinct key lives wholly in one partition.
-type BuildPartitions = Vec<FxHashMap<Vec<Value>, Vec<usize>>>;
-
-/// Partition the build side of a join by key hash and build the
-/// per-partition hash tables concurrently. Row indices within each table
-/// stay in global row order, preserving the serial join's match order.
-fn build_partitions(build: &Table, keys: &[usize], workers: usize) -> BuildPartitions {
-    let nparts = workers.max(1);
-    // Pass 1 (parallel): route each row to a partition. NULL keys never
-    // equi-match, so they are dropped here, exactly as the serial build
-    // skips them.
-    let part_of: Vec<usize> = map_chunks(build.rows(), workers, |_, chunk| {
-        chunk
-            .iter()
-            .map(|row| {
-                let key = Table::key_of(row, keys);
-                if key.iter().any(Value::is_null) {
-                    usize::MAX
-                } else {
-                    (key_hash(&key) % nparts as u64) as usize
-                }
-            })
-            .collect()
-    });
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); nparts];
-    for (i, &p) in part_of.iter().enumerate() {
-        if p != usize::MAX {
-            buckets[p].push(i);
-        }
-    }
-    // Pass 2 (parallel): one hash table per partition.
-    map_indices(nparts, workers, |p| {
-        let mut map: FxHashMap<Vec<Value>, Vec<usize>> = fx_map_with_capacity(buckets[p].len());
-        for &i in &buckets[p] {
-            map.entry(Table::key_of(&build.rows()[i], keys))
-                .or_default()
-                .push(i);
-        }
-        map
-    })
-}
-
-fn partition_lookup<'p>(parts: &'p BuildPartitions, key: &[Value]) -> Option<&'p Vec<usize>> {
-    let p = (key_hash(key) % parts.len() as u64) as usize;
-    parts[p].get(key)
-}
-
-/// Morsel-driven parallel hash join. The caller passes the inner-join
-/// build side (semi/anti always build on the right); NULL-key semantics
-/// match [`hash_join`], and chunk-ordered probe concatenation makes the
-/// output row-for-row identical to the serial path.
-fn par_hash_join(
-    left: &Table,
-    right: &Table,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    kind: JoinKind,
-    build_on_left: bool,
-    workers: usize,
-) -> (Table, Par) {
-    match kind {
-        JoinKind::Inner => {
-            let (build, build_keys, probe, probe_keys) = if build_on_left {
-                (left, left_keys, right, right_keys)
-            } else {
-                (right, right_keys, left, left_keys)
-            };
-            let parts = build_partitions(build, build_keys, workers);
-            let schema = left.schema().join(right.schema());
-            let (rows, par) = par_map_table(probe, workers, |chunk| {
-                let mut out = Vec::new();
-                for prow in chunk {
-                    let key = Table::key_of(prow, probe_keys);
-                    if key.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    if let Some(matches) = partition_lookup(&parts, &key) {
-                        for &bi in matches {
-                            // Output layout is always `left ++ right`.
-                            if build_on_left {
-                                let mut row = build.rows()[bi].clone();
-                                row.extend_from_slice(prow);
-                                out.push(row);
-                            } else {
-                                let mut row = prow.clone();
-                                row.extend_from_slice(&build.rows()[bi]);
-                                out.push(row);
-                            }
-                        }
-                    }
-                }
-                out
-            });
-            (Table::from_rows_unchecked(schema, rows), par)
-        }
-        JoinKind::LeftSemi | JoinKind::LeftAnti => {
-            let parts = build_partitions(right, right_keys, workers);
-            let want_match = kind == JoinKind::LeftSemi;
-            let (rows, par) = par_map_table(left, workers, |chunk| {
-                let mut out = Vec::new();
-                for lrow in chunk {
-                    let key = Table::key_of(lrow, left_keys);
-                    let matched = !key.iter().any(Value::is_null)
-                        && partition_lookup(&parts, &key).is_some();
-                    if matched == want_match {
-                        out.push(lrow.clone());
-                    }
-                }
-                out
-            });
-            (Table::from_rows_unchecked(left.schema().clone(), rows), par)
-        }
-    }
 }
 
 /// Multi-key hash equi-join with the default build-side heuristic: for
@@ -918,6 +717,8 @@ fn par_hash_join(
 /// statistics-based `Auto` resolution) picks the side from cardinality
 /// estimates and only degenerates to this heuristic when no estimates
 /// exist. Rows with a NULL in any key column never match (SQL semantics).
+/// Semi and anti joins build on the right. The output row layout is
+/// always `left ++ right` (just `left` for semi/anti).
 pub fn hash_join(
     left: &Table,
     right: &Table,
@@ -925,197 +726,138 @@ pub fn hash_join(
     right_keys: &[usize],
     kind: JoinKind,
 ) -> Table {
-    hash_join_build(
-        left,
-        right,
-        left_keys,
-        right_keys,
-        kind,
-        left.len() <= right.len(),
-    )
+    let build_on_left = kind == JoinKind::Inner && left.len() <= right.len();
+    transient_join(left, right, left_keys, right_keys, kind, build_on_left, 1).0
 }
 
-/// [`hash_join`] with an explicit inner-join build side (`build_on_left`;
-/// ignored for semi/anti joins, which always build on the right). The
-/// output row layout is always `left ++ right` regardless of which side
-/// the hash table is built on.
-fn hash_join_build(
+/// An equi-join whose lookup is a [`HashIndex`] built over the build
+/// input for this join alone, on `workers` threads for both the build
+/// and the probe.
+fn transient_join(
     left: &Table,
     right: &Table,
     left_keys: &[usize],
     right_keys: &[usize],
     kind: JoinKind,
     build_on_left: bool,
-) -> Table {
-    match kind {
-        JoinKind::Inner => {
-            let schema = left.schema().join(right.schema());
-            if build_on_left {
-                serial_inner_join(left, right, left_keys, right_keys, true, schema)
-            } else {
-                serial_inner_join(right, left, right_keys, left_keys, false, schema)
-            }
-        }
-        JoinKind::LeftSemi | JoinKind::LeftAnti => {
-            let mut build: FxHashMap<Vec<Value>, Vec<usize>> =
-                fx_map_with_capacity(right.len());
-            let mut i = 0usize;
-            for block in right.blocks() {
-                for row in block.rows() {
-                    let key = Table::key_of(row, right_keys);
-                    if !key.iter().any(Value::is_null) {
-                        build.entry(key).or_default().push(i);
-                    }
-                    i += 1;
-                }
-            }
-            let want_match = kind == JoinKind::LeftSemi;
-            let mut rows = Vec::new();
-            for block in left.blocks() {
-                for lrow in block.rows() {
-                    let key = Table::key_of(lrow, left_keys);
-                    let matched =
-                        !key.iter().any(Value::is_null) && build.contains_key(&key);
-                    if matched == want_match {
-                        rows.push(lrow.clone());
-                    }
-                }
-            }
-            Table::from_rows_unchecked(left.schema().clone(), rows)
-        }
-    }
-}
-
-/// Join keys the dense fast path can carry inline.
-const DENSE_KEY_ARITY: usize = 3;
-
-/// Try to build the inner-join hash table with inline `[i64; 3]` keys:
-/// succeeds when every build-side key value is `Int` (NULL rows are
-/// skipped, exactly like the generic build). Returns `None` — fall back
-/// to boxed `Vec<Value>` keys — on any other type. `Value` equality is
-/// strictly typed (`Int(2) != Float(2.0)`), so when this map exists a
-/// non-`Int` probe value can never match and the fast path is
-/// result-identical to the generic one.
-fn dense_int_build(rows: &[Row], keys: &[usize]) -> Option<FxHashMap<[i64; 3], Vec<usize>>> {
-    if keys.is_empty() || keys.len() > DENSE_KEY_ARITY {
-        return None;
-    }
-    let mut map: FxHashMap<[i64; 3], Vec<usize>> = fx_map_with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        match dense_key(row, keys) {
-            DenseKey::Key(k) => map.entry(k).or_default().push(i),
-            DenseKey::Null => {}
-            DenseKey::NotInt => return None,
-        }
-    }
-    Some(map)
-}
-
-enum DenseKey {
-    Key([i64; 3]),
-    /// A NULL in a key column: the row never equi-matches.
-    Null,
-    /// A non-integer key value.
-    NotInt,
-}
-
-fn dense_key(row: &[Value], keys: &[usize]) -> DenseKey {
-    let mut k = [0i64; 3];
-    for (j, &c) in keys.iter().enumerate() {
-        match &row[c] {
-            Value::Int(v) => k[j] = *v,
-            Value::Null => return DenseKey::Null,
-            _ => return DenseKey::NotInt,
-        }
-    }
-    DenseKey::Key(k)
-}
-
-/// Serial inner join with the build/probe roles already assigned.
-/// Output layout is `left ++ right`; `build_is_left` says which side of
-/// the output the build row lands on. When the build keys are all
-/// integers (the id-interned grounding case) the hash table uses inline
-/// `[i64; 3]` keys, and probe blocks that expose dense `u32` id columns
-/// are keyed straight from the column arrays — no `Value` clone or hash
-/// of boxed keys anywhere on the probe path.
-fn serial_inner_join(
-    build: &Table,
-    probe: &Table,
-    build_keys: &[usize],
-    probe_keys: &[usize],
-    build_is_left: bool,
-    schema: Schema,
-) -> Table {
-    let build_rows = build.rows();
-    let mut rows: Vec<Row> = Vec::new();
-    let emit = |bi: usize, prow: &[Value], rows: &mut Vec<Row>| {
-        if build_is_left {
-            let mut out = build_rows[bi].clone();
-            out.extend_from_slice(prow);
-            rows.push(out);
-        } else {
-            let mut out = prow.to_vec();
-            out.extend_from_slice(&build_rows[bi]);
-            rows.push(out);
-        }
-    };
-    if let Some(dense) = dense_int_build(build_rows, build_keys) {
-        DENSE_INT_JOINS.fetch_add(1, Ordering::Relaxed);
-        for block in probe.blocks() {
-            let prows = block.rows();
-            let dense_cols: Option<Vec<&[u32]>> =
-                probe_keys.iter().map(|&c| block.dense_u32(c)).collect();
-            if let Some(cols) = dense_cols {
-                // Keys come straight out of the columnar id arrays.
-                DENSE_U32_PROBE_BLOCKS.fetch_add(1, Ordering::Relaxed);
-                for (i, prow) in prows.iter().enumerate() {
-                    let mut k = [0i64; 3];
-                    for (j, col) in cols.iter().enumerate() {
-                        k[j] = col[i] as i64;
-                    }
-                    if let Some(matches) = dense.get(&k) {
-                        for &bi in matches {
-                            emit(bi, prow, &mut rows);
-                        }
-                    }
-                }
-            } else {
-                for prow in prows {
-                    // NULL never matches; non-Int cannot equal an Int
-                    // build key, so both probe outcomes are "no match".
-                    if let DenseKey::Key(k) = dense_key(prow, probe_keys) {
-                        if let Some(matches) = dense.get(&k) {
-                            for &bi in matches {
-                                emit(bi, prow, &mut rows);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    workers: usize,
+) -> (Table, Par) {
+    let (build_table, build_keys, probe, probe_keys) = if build_on_left {
+        (left, left_keys, right, right_keys)
     } else {
-        let mut map: FxHashMap<Vec<Value>, Vec<usize>> = fx_map_with_capacity(build_rows.len());
-        for (i, row) in build_rows.iter().enumerate() {
-            let key = Table::key_of(row, build_keys);
-            if !key.iter().any(Value::is_null) {
-                map.entry(key).or_default().push(i);
-            }
+        (right, right_keys, left, left_keys)
+    };
+    let schema = match kind {
+        JoinKind::Inner => left.schema().join(right.schema()),
+        JoinKind::LeftSemi | JoinKind::LeftAnti => left.schema().clone(),
+    };
+    // An inner join materializes its build input first, so a spilled
+    // input is decoded once for both the index and the emitted rows.
+    let rows = match kind {
+        JoinKind::Inner => BuildRows::Input(build_table.rows()),
+        JoinKind::LeftSemi | JoinKind::LeftAnti => BuildRows::None,
+    };
+    let index = HashIndex::build(build_table, build_keys, workers);
+    let build = Build {
+        lookup: Lookup::Hash(Arc::new(index)),
+        rows,
+        on_left: build_on_left,
+    };
+    let (rows, par) = probe_join(probe, probe_keys, &build, kind, schema.width(), workers)
+        .expect("hash lookups cannot fail");
+    (Table::from_rows_unchecked(schema, rows), par)
+}
+
+/// The one probe loop behind every equi-join. Streams `probe` through
+/// [`try_par_map_table`] and looks each row's `probe_keys` up in the
+/// build side. Inner joins emit `left ++ right` rows in probe order, then
+/// in ascending build position; semi and anti joins keep the probe rows
+/// that do (do not) match. NULL keys never match. When the lookup is a
+/// hash index with inline keys, a probe block exposing dense `u32`
+/// columns for every key is keyed straight from those arrays.
+fn probe_join(
+    probe: &Table,
+    probe_keys: &[usize],
+    build: &Build<'_>,
+    kind: JoinKind,
+    width: usize,
+    workers: usize,
+) -> Result<(Vec<Row>, Par)> {
+    let inline = match &build.lookup {
+        Lookup::Hash(index) => index.has_inline_keys(),
+        Lookup::BTree { .. } => false,
+    };
+    if inline {
+        bump(&INLINE_KEY_JOINS);
+    }
+    try_par_map_table(probe, workers, |block, range| {
+        let prows = &block.rows()[range.clone()];
+        let ids: Option<Vec<&[u32]>> = if inline {
+            probe_keys
+                .iter()
+                .map(|&c| block.dense_u32(c).map(|col| &col[range.clone()]))
+                .collect()
+        } else {
+            None
+        };
+        if ids.is_some() {
+            bump(&DENSE_U32_PROBES);
         }
-        for block in probe.blocks() {
-            for prow in block.rows() {
-                let key = Table::key_of(prow, probe_keys);
-                if key.iter().any(Value::is_null) {
-                    continue;
+        // One positional reader per worker range over a catalog table.
+        let mut reader = match build.rows {
+            BuildRows::Catalog(table, _) => Some(table.row_reader()),
+            BuildRows::None | BuildRows::Input(_) => None,
+        };
+        let mut emit_build = |pos: usize, out: &mut Row| match build.rows {
+            BuildRows::Input(rows) => out.extend_from_slice(&rows[pos]),
+            BuildRows::Catalog(_, cols) => {
+                let row = reader.as_mut().expect("catalog row reader").row(pos);
+                match cols {
+                    Some(cols) => out.extend(cols.iter().map(|&c| row[c].clone())),
+                    None => out.extend_from_slice(row),
                 }
-                if let Some(matches) = map.get(&key) {
-                    for &bi in matches {
-                        emit(bi, prow, &mut rows);
+            }
+            BuildRows::None => unreachable!("only inner joins read build rows"),
+        };
+        let mut out = Vec::new();
+        let mut btree_matches;
+        for (i, prow) in prows.iter().enumerate() {
+            let matches: &[usize] = match (&build.lookup, &ids) {
+                (Lookup::Hash(index), Some(ids)) => {
+                    let mut key: IntKey = [0; INLINE_KEY_WIDTH];
+                    for (slot, col) in key.iter_mut().zip(ids) {
+                        *slot = i64::from(col[i]);
+                    }
+                    index.get_inline(&key)
+                }
+                (Lookup::Hash(index), None) => index.probe(prow, probe_keys),
+                (Lookup::BTree { index, len }, _) => {
+                    btree_matches = index.probe(prow, probe_keys)?;
+                    btree_matches.retain(|&pos| pos < *len);
+                    &btree_matches
+                }
+            };
+            match kind {
+                JoinKind::Inner => {
+                    for &pos in matches {
+                        let mut row: Row = Vec::with_capacity(width);
+                        if build.on_left {
+                            emit_build(pos, &mut row);
+                            row.extend_from_slice(prow);
+                        } else {
+                            row.extend_from_slice(prow);
+                            emit_build(pos, &mut row);
+                        }
+                        out.push(row);
                     }
                 }
+                JoinKind::LeftSemi if !matches.is_empty() => out.push(prow.clone()),
+                JoinKind::LeftAnti if matches.is_empty() => out.push(prow.clone()),
+                JoinKind::LeftSemi | JoinKind::LeftAnti => {}
             }
         }
-    }
-    Table::from_rows_unchecked(schema, rows)
+        Ok(out)
+    })
 }
 
 #[derive(Debug, Clone)]
@@ -1728,11 +1470,14 @@ mod tests {
     }
 
     /// The grounding join probe must take the dense paths: all-int keys
-    /// select the `[i64; N]` build map, and probing a *spilled* table
-    /// must read keys straight out of the columnar chunks' dense `u32`
-    /// arrays without reconstructing `Value`s. Counter deltas prove the
-    /// fast paths actually ran — a silent fallback to the generic probe
-    /// would still pass every result-equality test.
+    /// select a hash index with inline keys, and probing a *spilled*
+    /// table must read keys straight out of the columnar chunks' dense
+    /// `u32` arrays without reconstructing `Value`s — for a one-column
+    /// key and a grounding-shaped five-column one. Counter deltas prove
+    /// the fast paths actually ran — a silent fallback to boxed keys
+    /// would still pass every result-equality test. The counters are per
+    /// thread and the joins run serially, so concurrent tests cannot
+    /// satisfy the assertions.
     #[test]
     fn dense_int_join_probes_spilled_chunks_without_boxing() {
         use crate::spill::{SpillPolicy, StorageContext};
@@ -1742,35 +1487,41 @@ mod tests {
             ctx,
             threshold_rows: 1024,
         }));
-        let probe = Table::from_rows_unchecked(
-            Schema::ints(&["k", "v"]),
-            (0..10_000i64).map(|i| vec![Value::Int(i % 97), Value::Int(i)]).collect(),
-        );
-        let dim = Table::from_rows_unchecked(
-            Schema::ints(&["k"]),
-            (0..97i64).map(|k| vec![Value::Int(k)]).collect(),
-        );
-        cat.create("probe", probe).unwrap();
-        cat.create("dim", dim).unwrap();
-        assert!(cat.get("probe").unwrap().is_spilled());
+        for width in [1usize, 5] {
+            let key = |k: i64| (0..width as i64).map(|j| Value::Int(k + j)).collect::<Row>();
+            let names: Vec<String> = (0..width).map(|j| format!("k{j}")).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            let probe = Table::from_rows_unchecked(
+                Schema::ints(&[names.as_slice(), &["v"]].concat()),
+                (0..10_000i64)
+                    .map(|i| [key(i % 97), vec![Value::Int(i)]].concat())
+                    .collect(),
+            );
+            let dim = Table::from_rows_unchecked(Schema::ints(&names), (0..97).map(key).collect());
+            let (probe_name, dim_name) = (format!("probe{width}"), format!("dim{width}"));
+            cat.create(&probe_name, probe).unwrap();
+            cat.create(&dim_name, dim).unwrap();
+            assert!(cat.get(&probe_name).unwrap().is_spilled());
 
-        let joins_before = dense_int_join_count();
-        let blocks_before = dense_u32_probe_block_count();
-        // Serial inner join, dim side built, spilled side probed.
-        let plan = Plan::scan("probe").hash_join(Plan::scan("dim"), vec![0], vec![0]);
-        let out = Executor::new(&cat)
-            .with_threads(1)
-            .with_optimize(false)
-            .execute_table(&plan)
-            .unwrap();
-        assert_eq!(out.len(), 10_000);
-        assert!(
-            dense_int_join_count() > joins_before,
-            "all-int join keys must select the dense build"
-        );
-        assert!(
-            dense_u32_probe_block_count() >= blocks_before + 2,
-            "a 10k-row spilled probe side spans >= 2 dense-u32 chunks"
-        );
+            let joins_before = dense_int_join_count();
+            let blocks_before = dense_u32_probe_block_count();
+            // Serial inner join, dim side built, spilled side probed.
+            let cols: Vec<usize> = (0..width).collect();
+            let plan = Plan::scan(&probe_name).hash_join(Plan::scan(&dim_name), cols.clone(), cols);
+            let out = Executor::new(&cat)
+                .with_threads(1)
+                .with_optimize(false)
+                .execute_table(&plan)
+                .unwrap();
+            assert_eq!(out.len(), 10_000);
+            assert!(
+                dense_int_join_count() > joins_before,
+                "all-int join keys ({width} columns) must select the dense build"
+            );
+            assert!(
+                dense_u32_probe_block_count() >= blocks_before + 2,
+                "a 10k-row spilled probe side spans >= 2 dense-u32 chunks ({width} key columns)"
+            );
+        }
     }
 }

@@ -235,6 +235,16 @@ impl Table {
         }
     }
 
+    /// The whole row list when it is resident without decoding: an
+    /// in-memory table, or a spilled one [`Table::rows`] has already
+    /// materialized.
+    pub(crate) fn resident_rows(&self) -> Option<&[Row]> {
+        match &self.store {
+            Store::Mem(rows) => Some(rows),
+            Store::Paged(p) => p.cache.get().map(Vec::as_slice),
+        }
+    }
+
     /// Stream the rows as blocks without materializing the whole
     /// table: one borrowed slice for Mem, one decoded chunk at a time
     /// (plus the tail slice) for Paged. Block boundaries for a given

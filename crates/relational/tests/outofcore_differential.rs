@@ -84,6 +84,8 @@ fn plans() -> Vec<Plan> {
         Plan::scan("dim").hash_join(Plan::scan("fact"), vec![0], vec![0]),
         Plan::scan("fact").join(Plan::scan("dim").filter(Expr::col(1).lt(Expr::lit(3i64))), vec![0], vec![0], JoinKind::LeftSemi),
         Plan::scan("fact").join(Plan::scan("dim").filter(Expr::col(1).lt(Expr::lit(3i64))), vec![0], vec![0], JoinKind::LeftAnti),
+        Plan::scan("fact").join(Plan::scan("dim"), vec![2], vec![0], JoinKind::LeftSemi),
+        Plan::scan("fact").join(Plan::scan("dim"), vec![2], vec![0], JoinKind::LeftAnti),
         Plan::scan("fact").aggregate(
             vec![1],
             vec![
@@ -176,17 +178,40 @@ fn mutations_are_identical_under_spill() {
 
 /// Incremental index maintenance parity: appending to an indexed,
 /// spilled table keeps B-tree-driven joins identical to the hash-index
-/// baseline.
+/// baseline, and the maintained all-`Int` hash index equals a fresh
+/// build — also after an append whose keys are not `Int`.
 #[test]
 fn incremental_index_maintenance_is_identical() {
     let mem = catalog(None);
     let sp = catalog(Some(64));
+    let maintained_equals_fresh = |cat: &Catalog| {
+        let table = cat.get("fact").unwrap();
+        let index = cat.index_on("fact", &[0]).expect("fact index kept");
+        for threads in [1, 4] {
+            assert_eq!(*index, HashIndex::build(&table, &[0], threads), "threads={threads}");
+        }
+    };
     let extra: Vec<Vec<Value>> = (0..6_000i64)
         .map(|i| vec![Value::Int(400 + i % 200), Value::Int(i % 5), Value::Int(i)])
         .collect();
     mem.insert_rows("fact", extra.clone()).unwrap();
     sp.insert_rows("fact", extra).unwrap();
+    maintained_equals_fresh(&mem);
     let plan = Plan::scan("dim").hash_join(Plan::scan("fact"), vec![0], vec![0]);
+    assert_eq!(run(&mem, &plan, 1, true), run(&sp, &plan, 1, true));
+    assert_eq!(run(&mem, &plan, 4, true), run(&sp, &plan, 4, true));
+
+    // String keys turn the inline-key index into a boxed one in place;
+    // the all-Int keys before and after them must keep matching.
+    let mixed: Vec<Vec<Value>> = (0..3_000i64)
+        .map(|i| match i % 3 {
+            0 => vec![Value::Str(format!("k{}", i % 500).into()), Value::Int(1), Value::Int(i)],
+            _ => vec![Value::Int(i % 500), Value::Int(2), Value::Int(i)],
+        })
+        .collect();
+    mem.insert_rows_unchecked("fact", mixed.clone()).unwrap();
+    sp.insert_rows_unchecked("fact", mixed).unwrap();
+    maintained_equals_fresh(&mem);
     assert_eq!(run(&mem, &plan, 1, true), run(&sp, &plan, 1, true));
     assert_eq!(run(&mem, &plan, 4, true), run(&sp, &plan, 4, true));
 }

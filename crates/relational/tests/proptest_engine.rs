@@ -23,61 +23,128 @@ fn arb_table(width: usize, domain: i64, max_rows: usize) -> impl Strategy<Value 
     )
 }
 
+/// One key value. An all-`Int` table draws from `{0, 1}`; a mixed one
+/// also draws floats and strings that print like those ints (strict
+/// typing: `Int(1) ≠ Float(1.0) ≠ Str("1")`) and NULLs.
+fn key_value(code: u8, mixed: bool) -> Value {
+    match if mixed { code % 7 } else { code % 2 } {
+        0 => Value::Int(0),
+        1 => Value::Int(1),
+        2 => Value::Float(0.0),
+        3 => Value::Float(1.0),
+        4 => Value::Str("0".into()),
+        5 => Value::Str("1".into()),
+        _ => Value::Null,
+    }
+}
+
+/// A random table whose first `arity` columns are a join key drawn by
+/// [`key_value`], followed by an `Int` row tag in `0..tags`.
+fn arb_keyed_table(
+    arity: usize,
+    mixed: bool,
+    tags: i64,
+    max_rows: usize,
+) -> impl Strategy<Value = Table> {
+    let mut cols: Vec<Column> = (0..arity)
+        .map(|i| Column::nullable(&format!("k{i}"), DataType::Int))
+        .collect();
+    cols.push(Column::new("tag", DataType::Int));
+    let schema = Schema::new(cols);
+    prop::collection::vec((prop::collection::vec(0u8..7, arity), 0..tags), 0..=max_rows)
+        .prop_map(move |rows| {
+            let rows = rows
+                .into_iter()
+                .map(|(key, tag)| {
+                    let mut row: Row = key.into_iter().map(|c| key_value(c, mixed)).collect();
+                    row.push(Value::Int(tag));
+                    row
+                })
+                .collect();
+            Table::from_rows_unchecked(schema.clone(), rows)
+        })
+}
+
+/// Two keyed tables sharing a key arity in 1..=6, both all-`Int` or
+/// both mixed.
+fn arb_join_inputs(max_rows: usize) -> impl Strategy<Value = (usize, Table, Table)> {
+    (1usize..7, any::<bool>()).prop_flat_map(move |(arity, mixed)| {
+        (
+            Just(arity),
+            arb_keyed_table(arity, mixed, 6, max_rows),
+            arb_keyed_table(arity, mixed, 6, max_rows),
+        )
+    })
+}
+
+/// The nested-loop definition of an equi-join match: whole keys equal,
+/// none of their values NULL.
+fn keys_match(l: &[Value], r: &[Value], arity: usize) -> bool {
+    l[..arity] == r[..arity] && !l[..arity].iter().any(Value::is_null)
+}
+
+/// Rows in a canonical order (`Value`'s `Ord` ties `Int(1)` with
+/// `Float(1.0)`, so sort by the rendered row instead).
+fn canonical(rows: &[Row]) -> Vec<String> {
+    let mut out: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+    out.sort();
+    out
+}
+
 fn ints(row: &[Value]) -> Vec<i64> {
     row.iter().map(|v| v.as_int().unwrap()).collect()
 }
 
 proptest! {
-    /// Inner hash join agrees with the nested-loop definition.
+    /// Inner hash join agrees with the nested-loop definition, for keys
+    /// of 1–6 columns over all-`Int` and mixed-type values.
     #[test]
-    fn join_matches_nested_loop(
-        left in arb_table(2, 6, 40),
-        right in arb_table(2, 6, 40),
-    ) {
+    fn join_matches_nested_loop(input in arb_join_inputs(40)) {
+        let (arity, left, right) = input;
         let cat = Catalog::new();
         cat.create("l", left.clone()).unwrap();
         cat.create("r", right.clone()).unwrap();
-        let plan = Plan::scan("l").hash_join(Plan::scan("r"), vec![0], vec![0]);
+        let keys: Vec<usize> = (0..arity).collect();
+        let plan = Plan::scan("l").hash_join(Plan::scan("r"), keys.clone(), keys);
         let out = Executor::new(&cat).execute_table(&plan).unwrap();
 
-        let mut expected: Vec<Vec<i64>> = Vec::new();
+        let mut expected: Vec<Row> = Vec::new();
         for l in left.rows() {
             for r in right.rows() {
-                if l[0] == r[0] {
-                    let mut row = ints(l);
-                    row.extend(ints(r));
+                if keys_match(l, r, arity) {
+                    let mut row = l.clone();
+                    row.extend(r.iter().cloned());
                     expected.push(row);
                 }
             }
         }
-        let mut got: Vec<Vec<i64>> = out.rows().iter().map(|r| ints(r)).collect();
-        expected.sort();
-        got.sort();
-        prop_assert_eq!(got, expected);
+        prop_assert_eq!(canonical(out.rows()), canonical(&expected));
     }
 
-    /// Semi and anti join partition the left input.
+    /// Semi and anti join partition the left input, in left order,
+    /// exactly as the nested-loop definition splits it.
     #[test]
-    fn semi_anti_partition_left(
-        left in arb_table(2, 5, 30),
-        right in arb_table(1, 5, 30),
-    ) {
+    fn semi_anti_partition_left(input in arb_join_inputs(30)) {
+        let (arity, left, right) = input;
         let cat = Catalog::new();
         cat.create("l", left.clone()).unwrap();
-        cat.create("r", right).unwrap();
+        cat.create("r", right.clone()).unwrap();
         let exec = Executor::new(&cat);
+        let keys: Vec<usize> = (0..arity).collect();
         let semi = exec.execute_table(
-            &Plan::scan("l").join(Plan::scan("r"), vec![0], vec![0], JoinKind::LeftSemi),
+            &Plan::scan("l").join(Plan::scan("r"), keys.clone(), keys.clone(), JoinKind::LeftSemi),
         ).unwrap();
         let anti = exec.execute_table(
-            &Plan::scan("l").join(Plan::scan("r"), vec![0], vec![0], JoinKind::LeftAnti),
+            &Plan::scan("l").join(Plan::scan("r"), keys.clone(), keys, JoinKind::LeftAnti),
         ).unwrap();
         prop_assert_eq!(semi.len() + anti.len(), left.len());
-        // No row appears in both.
-        let semi_keys: HashSet<Vec<i64>> = semi.rows().iter().map(|r| ints(r)).collect();
-        for row in anti.rows() {
-            prop_assert!(!semi_keys.contains(&ints(row)));
-        }
+        let (want_semi, want_anti): (Vec<Row>, Vec<Row>) = left
+            .rows()
+            .iter()
+            .cloned()
+            .partition(|l| right.rows().iter().any(|r| keys_match(l, r, arity)));
+        prop_assert_eq!(semi.rows(), want_semi.as_slice());
+        prop_assert_eq!(anti.rows(), want_anti.as_slice());
     }
 
     /// DISTINCT yields exactly the set of unique rows and is idempotent.
@@ -166,7 +233,7 @@ proptest! {
     /// HashIndex probes agree with a linear scan.
     #[test]
     fn index_agrees_with_scan(t in arb_table(2, 5, 50), probe in 0i64..5) {
-        let idx = HashIndex::build(&t, &[0]);
+        let idx = HashIndex::build(&t, &[0], 1);
         let expected: Vec<usize> = t
             .rows()
             .iter()

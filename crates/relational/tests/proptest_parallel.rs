@@ -52,32 +52,49 @@ fn assert_thread_invariant(cat: &Catalog, plan: &Plan) {
     }
 }
 
+/// A catalog holding `l` and `r`, with a prebuilt hash index on the join
+/// key of the build table `r` when `prebuilt` is set.
+fn join_catalog(left: &Table, right: &Table, prebuilt: bool) -> Catalog {
+    let cat = Catalog::new();
+    cat.create("l", left.clone()).unwrap();
+    cat.create("r", right.clone()).unwrap();
+    if prebuilt {
+        cat.build_index("r", &[0], 1).unwrap();
+    }
+    cat
+}
+
 proptest! {
-    /// Inner join output is thread-count invariant.
+    /// Inner join output is thread-count invariant, whether the build
+    /// table is hashed for the query or probed through a prebuilt index.
     #[test]
     fn inner_join_is_thread_invariant(
         left in arb_table(2, 6, 40),
         right in arb_table(2, 6, 40),
     ) {
-        let cat = Catalog::new();
-        cat.create("l", left).unwrap();
-        cat.create("r", right).unwrap();
-        let plan = Plan::scan("l").hash_join(Plan::scan("r"), vec![0], vec![0]);
-        assert_thread_invariant(&cat, &plan);
+        for prebuilt in [false, true] {
+            let cat = join_catalog(&left, &right, prebuilt);
+            let plan = Plan::scan("l").hash_join(Plan::scan("r"), vec![0], vec![0]);
+            assert_thread_invariant(&cat, &plan);
+        }
     }
 
-    /// Semi and anti joins are thread-count invariant.
+    /// Semi and anti joins are thread-count invariant, and a prebuilt
+    /// index on the build table does not change their output.
     #[test]
     fn semi_and_anti_joins_are_thread_invariant(
         left in arb_table(2, 5, 40),
         right in arb_table(1, 5, 40),
     ) {
-        let cat = Catalog::new();
-        cat.create("l", left).unwrap();
-        cat.create("r", right).unwrap();
         for kind in [JoinKind::LeftSemi, JoinKind::LeftAnti] {
             let plan = Plan::scan("l").join(Plan::scan("r"), vec![0], vec![0], kind);
-            assert_thread_invariant(&cat, &plan);
+            let mut outputs = Vec::new();
+            for prebuilt in [false, true] {
+                let cat = join_catalog(&left, &right, prebuilt);
+                assert_thread_invariant(&cat, &plan);
+                outputs.push(format!("{:?}", run_at(&cat, &plan, 1)));
+            }
+            prop_assert_eq!(&outputs[0], &outputs[1]);
         }
     }
 

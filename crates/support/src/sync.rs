@@ -7,6 +7,7 @@
 //! panicked thread left behind is exactly as observable as it would be
 //! under `parking_lot`, which has no poisoning at all.
 
+use std::ops::Range;
 use std::sync::{self, LockResult, MutexGuard, OnceLock, RwLockReadGuard, RwLockWriteGuard};
 
 fn ignore_poison<G>(result: LockResult<G>) -> G {
@@ -131,20 +132,32 @@ where
     U: Send,
     F: Fn(usize, &[T]) -> Vec<U> + Sync,
 {
-    if items.is_empty() {
+    map_ranges(items.len(), threads, |idx, range| f(idx, &items[range]))
+}
+
+/// [`map_chunks`] over the positions `0..len` instead of a slice: `f`
+/// receives each chunk's index and its contiguous position range, cut
+/// exactly where `map_chunks` cuts a slice of `len` items. For callers
+/// that read several parallel arrays at the same positions.
+pub fn map_ranges<U, F>(len: usize, threads: usize, f: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(usize, Range<usize>) -> Vec<U> + Sync,
+{
+    if len == 0 {
         return Vec::new();
     }
-    let chunk = items.len().div_ceil(threads.max(1)).max(1);
-    if chunk >= items.len() {
-        return f(0, items);
+    let chunk = len.div_ceil(threads.max(1)).max(1);
+    if chunk >= len {
+        return f(0, 0..len);
     }
-    let mut out = Vec::with_capacity(items.len());
+    let mut out = Vec::with_capacity(len);
     let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
+        let handles: Vec<_> = (0..len)
+            .step_by(chunk)
             .enumerate()
-            .map(|(idx, part)| scope.spawn(move || f(idx, part)))
+            .map(|(idx, lo)| scope.spawn(move || f(idx, lo..(lo + chunk).min(len))))
             .collect();
         for handle in handles {
             out.extend(handle.join().expect("map_chunks worker panicked"));
@@ -185,8 +198,7 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    let indices: Vec<usize> = (0..n).collect();
-    map_chunks(&indices, threads, |_, part| part.iter().map(|&i| f(i)).collect())
+    map_ranges(n, threads, |_, range| range.map(&f).collect())
 }
 
 /// Run `f` mutably on disjoint chunks of `items` in parallel, chunk index

@@ -1,5 +1,5 @@
-//! Beyond marginals: MAP inference, belief propagation, and the
-//! query-time interface over an expanded KB.
+//! Beyond marginals: MAP inference, belief propagation, and queries over
+//! the marginals stored in an expanded KB.
 //!
 //! Expands a small KB, then answers the questions a downstream
 //! application asks: what is the most likely world (MAP)? what do the
@@ -10,9 +10,12 @@
 //! cargo run --release --example map_and_query
 //! ```
 
+use std::collections::HashSet;
+
+use probkb::core::relmodel::tpi;
 use probkb::pipeline::{run_pipeline, PipelineOptions, Sampler};
 use probkb::prelude::*;
-use probkb::query::ExpandedKb;
+use probkb::relational::prelude::Row;
 
 fn main() {
     let kb = parse(
@@ -65,15 +68,57 @@ fn main() {
         map.assignment.len()
     );
 
-    // Query-time access over the stored marginals.
-    let view = ExpandedKb::from_pipeline(&gibbs);
+    // Query-time access: the marginals are stored in `TΠ` itself, so a
+    // query is a scan of `facts_with_marginals`. Extracted facts are the
+    // ones that carried a weight before inference.
+    let extracted: HashSet<i64> = gibbs
+        .expansion
+        .outcome
+        .facts
+        .rows()
+        .iter()
+        .filter(|r| !r[tpi::W].is_null())
+        .map(|r| r[tpi::I].as_int().expect("fact id"))
+        .collect();
+    let describe = |row: &Row| {
+        let name = |col: usize, dict: &Dictionary| {
+            let id = row[col].as_int().expect("id") as u32;
+            dict.resolve(id).unwrap_or("?").to_string()
+        };
+        let tag = if extracted.contains(&row[tpi::I].as_int().expect("fact id")) {
+            "extracted"
+        } else {
+            "inferred"
+        };
+        let p = row[tpi::W].as_float().unwrap_or(f64::NAN);
+        format!(
+            "[{tag}, P={p:.2}] {}({}, {})",
+            name(tpi::R, &kb.relations),
+            name(tpi::X, &kb.entities),
+            name(tpi::Y, &kb.entities)
+        )
+    };
+    let facts = gibbs.facts_with_marginals.rows();
+    let kale = kb.entities.get("Kale_Author").expect("entity") as i64;
     println!("Everything known about Kale_Author:");
-    for fact in view.about_name(&kb, "Kale_Author") {
-        println!("  {}", view.describe(&kb, fact));
+    for row in facts
+        .iter()
+        .filter(|r| r[tpi::X].as_int() == Some(kale) || r[tpi::Y].as_int() == Some(kale))
+    {
+        println!("  {}", describe(row));
     }
     println!("\nConfident new knowledge (P >= 0.6):");
-    for fact in view.confident_inferences(0.6) {
-        println!("  {}", view.describe(&kb, fact));
+    let mut confident: Vec<&Row> = facts
+        .iter()
+        .filter(|r| !extracted.contains(&r[tpi::I].as_int().expect("fact id")))
+        .filter(|r| r[tpi::W].as_float().is_some_and(|p| p >= 0.6))
+        .collect();
+    confident.sort_by(|a, b| {
+        let p = |r: &Row| r[tpi::W].as_float().unwrap_or(0.0);
+        p(b).total_cmp(&p(a))
+    });
+    for row in confident {
+        println!("  {}", describe(row));
     }
 
     assert!(disagreement < 0.2, "BP and Gibbs should roughly agree");

@@ -50,8 +50,6 @@ pub use probkb_quality as quality;
 pub use probkb_relational as relational;
 pub use probkb_storage as storage;
 
-pub mod query;
-
 pub mod pipeline {
     //! The full ProbKB pipeline of Figure 1: grounding → factor graph →
     //! marginal inference → write marginals back into the KB.
